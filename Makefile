@@ -9,8 +9,8 @@
 
 GO ?= go
 GOFMT ?= gofmt
-# FUZZTIME is per fuzz target; CI runs four targets, so the default
-# keeps the whole fuzz-smoke step to ~60 s.
+# FUZZTIME is per fuzz target; CI runs five targets, so the default
+# keeps the whole fuzz-smoke step to ~75 s.
 FUZZTIME ?= 15s
 # Pinned staticcheck build: `go run` fetches and caches it, so the
 # toolchain — not PATH — decides the version CI lints with.
@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzHeaderDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzCookie$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzOpenBatchEquivalence$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsim -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME)
 
 # diff soaks the differential harness: seeded op streams cross-validated

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -206,15 +207,62 @@ func TestFBSGWLiveUDPSmoke(t *testing.T) {
 	roundTrips(20)
 
 	// Metrics are live on the same admin plane.
-	resp, err := http.Get("http://" + st.AdminAddr + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get("http://" + st.AdminAddr + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		defer resp.Body.Close()
+		var metrics bytes.Buffer
+		metrics.ReadFrom(resp.Body) //nolint:errcheck
+		return metrics.String()
 	}
-	var metrics bytes.Buffer
-	metrics.ReadFrom(resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if !bytes.Contains(metrics.Bytes(), []byte("fbs_gateway_received_total")) {
-		t.Fatalf("/metrics missing fbs_gateway_received_total:\n%.2000s", metrics.String())
+	if m := scrape(); !strings.Contains(m, "fbs_gateway_received_total") {
+		t.Fatalf("/metrics missing fbs_gateway_received_total:\n%.2000s", m)
+	}
+
+	// Bursts sent with one sendmmsg reach the gateway's recvmmsg
+	// together, so its batch loop opens them with OpenBatch calls of
+	// more than one datagram: some fbs_batch_open_calls_total bucket
+	// other than size="1" must count.
+	multiOpen := func(m string) bool {
+		for _, line := range strings.Split(m, "\n") {
+			if strings.HasPrefix(line, "fbs_batch_open_calls_total{") && !strings.Contains(line, `size="1"`) &&
+				!strings.HasSuffix(line, " 0") {
+				return true
+			}
+		}
+		return false
+	}
+	const burst = 16
+	for try := 0; ; try++ {
+		want := make(map[string]bool, burst)
+		dgs := make([]transport.Datagram, burst)
+		for i := range dgs {
+			msg := fmt.Sprintf("burst-%04d", sent+i)
+			want[msg] = true
+			dgs[i] = transport.Datagram{Destination: "gw-edge", Payload: []byte(msg)}
+		}
+		if n, err := client.SendBatch(dgs, true); err != nil || n != burst {
+			t.Fatalf("burst send: %d, %v", n, err)
+		}
+		for i := 0; i < burst; i++ {
+			dg, err := client.Receive()
+			if err != nil {
+				t.Fatalf("burst echo: %v", err)
+			}
+			if !want[string(dg.Payload)] {
+				t.Fatalf("unexpected burst echo %q", dg.Payload)
+			}
+			delete(want, string(dg.Payload))
+		}
+		sent += burst
+		if m := scrape(); multiOpen(m) {
+			break
+		} else if try == 20 {
+			t.Fatalf("no multi-datagram OpenBatch after %d bursts:\n%s", try+1, m)
+		}
 	}
 
 	// Graceful drain on SIGTERM: the daemon exits cleanly and prints

@@ -46,11 +46,23 @@ func (s replaySig) stripe(mask uint32) uint32 {
 }
 
 // replayEntry is what the cache remembers per signature: when it was
-// accepted and from whom, so expiry sweeping can keep the per-peer
-// occupancy counts exact.
+// accepted (nanoseconds since the cache's base time) and the stripe's
+// occupancy record for its source, so expiry sweeping keeps the
+// per-peer counts exact. The cache holds one entry per datagram
+// accepted within the freshness window, so the entry is kept to a
+// 16-byte value: with the 24-byte signature a map slot is 40 bytes,
+// where a time.Time plus an address string made it 64.
 type replayEntry struct {
-	at  time.Time
+	at  int64
+	occ *peerOcc
+}
+
+// peerOcc is one source's occupancy within a stripe. Every entry from
+// that source points at it; the record leaves the stripe's peer table
+// when its count reaches zero.
+type peerOcc struct {
 	src principal.Address
+	n   int
 }
 
 // replayStripe is one lock stripe: an independently locked shard of the
@@ -58,18 +70,28 @@ type replayEntry struct {
 type replayStripe struct {
 	mu       sync.Mutex
 	seen     map[replaySig]replayEntry
-	peers    map[principal.Address]int
+	peers    map[principal.Address]*peerOcc
 	refusals uint64
 	_        [40]byte
+}
+
+// occupy records one more entry from src and returns its occupancy
+// record.
+func (st *replayStripe) occupy(src principal.Address) *peerOcc {
+	occ := st.peers[src]
+	if occ == nil {
+		occ = &peerOcc{src: src}
+		st.peers[src] = occ
+	}
+	occ.n++
+	return occ
 }
 
 // remove deletes sig under the stripe lock, keeping peer counts exact.
 func (st *replayStripe) remove(sig replaySig, e replayEntry) {
 	delete(st.seen, sig)
-	if n := st.peers[e.src] - 1; n > 0 {
-		st.peers[e.src] = n
-	} else {
-		delete(st.peers, e.src)
+	if e.occ.n--; e.occ.n == 0 {
+		delete(st.peers, e.occ.src)
 	}
 }
 
@@ -113,6 +135,7 @@ const (
 // window, by whichever Check call notices the sweep is due.
 type ReplayCache struct {
 	window    time.Duration
+	base      time.Time // entry times are offsets from here
 	stripes   []replayStripe
 	mask      uint32
 	lastSweep atomic.Int64 // unix nanos of the last full sweep
@@ -125,12 +148,13 @@ func NewReplayCache(window time.Duration) *ReplayCache {
 	n := defaultStripeCount(1 << 30) // uncapped by table size
 	r := &ReplayCache{
 		window:  window,
+		base:    time.Now(),
 		stripes: make([]replayStripe, n),
 		mask:    uint32(n - 1),
 	}
 	for i := range r.stripes {
 		r.stripes[i].seen = make(map[replaySig]replayEntry)
-		r.stripes[i].peers = make(map[principal.Address]int)
+		r.stripes[i].peers = make(map[principal.Address]*peerOcc)
 	}
 	return r
 }
@@ -163,25 +187,28 @@ func (r *ReplayCache) Check(src principal.Address, h *Header, now time.Time) Rep
 // checkLocked is Check's body with sig already computed and its stripe
 // lock already held.
 func (r *ReplayCache) checkLocked(st *replayStripe, src principal.Address, sig replaySig, now time.Time) ReplayVerdict {
+	at := r.offset(now)
 	if e, ok := st.seen[sig]; ok {
-		if now.Sub(e.at) <= r.window {
+		if at-e.at <= int64(r.window) {
 			return ReplayDuplicate
 		}
 		// Stale entry for the same signature: refresh in place
 		// (budget-neutral).
 		st.remove(sig, e)
-		st.seen[sig] = replayEntry{at: now, src: src}
-		st.peers[src]++
+		st.seen[sig] = replayEntry{at: at, occ: st.occupy(src)}
 		return ReplayFresh
 	}
 	if !r.budget.TryCharge(CostReplayEntry) {
 		st.refusals++
 		return ReplayRefused
 	}
-	st.seen[sig] = replayEntry{at: now, src: src}
-	st.peers[src]++
+	st.seen[sig] = replayEntry{at: at, occ: st.occupy(src)}
 	return ReplayFresh
 }
+
+// offset converts now to an entry time: nanoseconds since the cache's
+// base, measured on the monotonic clock when both readings carry one.
+func (r *ReplayCache) offset(now time.Time) int64 { return int64(now.Sub(r.base)) }
 
 // CheckRun checks up to batchChunk datagram signatures in one pass: one
 // sweep election for the run and one lock acquisition per stripe touched
@@ -233,11 +260,12 @@ func (r *ReplayCache) maybeSweep(now time.Time) {
 		return
 	}
 	swept := 0
+	at := r.offset(now)
 	for i := range r.stripes {
 		st := &r.stripes[i]
 		st.mu.Lock()
 		for k, e := range st.seen {
-			if now.Sub(e.at) > r.window {
+			if at-e.at > int64(r.window) {
 				st.remove(k, e)
 				swept++
 			}
@@ -294,8 +322,8 @@ func (r *ReplayCache) PerPeer() map[principal.Address]int {
 	for i := range r.stripes {
 		st := &r.stripes[i]
 		st.mu.Lock()
-		for p, n := range st.peers {
-			out[p] += n
+		for p, occ := range st.peers {
+			out[p] += occ.n
 		}
 		st.mu.Unlock()
 	}

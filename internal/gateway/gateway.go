@@ -57,9 +57,10 @@ type tenantPlane struct {
 }
 
 // epoch is one realised configuration: the immutable unit the atomic
-// swap exchanges. Datagram dispatch loads the current epoch once per
-// datagram, so a datagram is processed entirely against the
-// configuration it arrived under.
+// swap exchanges. Dispatch loads the current epoch once per batch pass,
+// so a datagram is processed entirely against the configuration it
+// arrived under (or, if that epoch retired mid-pass, re-dispatched
+// against its successor).
 type epoch struct {
 	seq     uint64
 	file    *Config
@@ -121,7 +122,8 @@ type Gateway struct {
 	retiredMu sync.Mutex
 	retired   ledger
 
-	recvWG sync.WaitGroup
+	recvWG  sync.WaitGroup
+	rateLog rateLog
 
 	// Gateway-plane counters (everything endpoint counters can't see).
 	received     atomic.Uint64 // datagrams pulled off listeners
@@ -131,6 +133,7 @@ type Gateway struct {
 	echoFailures atomic.Uint64 // echo seal/send failures
 	delivered    atomic.Uint64 // accepted payloads handed to the mode
 	retryStarved atomic.Uint64 // ErrDraining retries exhausted (pathological)
+	redispatched atomic.Uint64 // ErrDraining re-dispatches against a successor epoch
 }
 
 // New validates the environment and returns an idle gateway; Start
@@ -145,7 +148,9 @@ func New(opts Options) (*Gateway, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	return &Gateway{opts: opts, listeners: make(map[principal.Address]*listener)}, nil
+	g := &Gateway{opts: opts, listeners: make(map[principal.Address]*listener)}
+	g.rateLog.logf, g.rateLog.clock = opts.Logf, opts.Clock
+	return g, nil
 }
 
 // Start realises cfg as the first config epoch and begins serving.
@@ -279,7 +284,7 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 	g.swaps.Add(1)
 	for _, ln := range newListeners {
 		g.recvWG.Add(1)
-		go g.recvLoop(ln)
+		go g.serve(ln)
 	}
 
 	// Retire phase: the old epoch finishes what it already admitted,
@@ -329,122 +334,6 @@ func (g *Gateway) ensureListener(tc TenantConfig) (*listener, bool, error) {
 	g.listeners[addr] = ln
 	g.listenMu.Unlock()
 	return ln, true, nil
-}
-
-// recvLoop pulls datagrams off one listener for the gateway's
-// lifetime. Dispatch is synchronous: by the time the loop returns to
-// Receive, the datagram is fully processed (opened, and echoed if the
-// tenant echoes), which is what lets shutdown reason "loops joined ⇒
-// nothing in flight".
-func (g *Gateway) recvLoop(ln *listener) {
-	defer g.recvWG.Done()
-	for {
-		dg, err := ln.tr.Receive()
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				return
-			}
-			if g.draining.Load() {
-				return
-			}
-			g.opts.Logf("gateway: listener %s: receive: %v", ln.addr, err)
-			continue
-		}
-		g.handle(dg)
-	}
-}
-
-// handle processes one datagram against the current epoch. The
-// ErrDraining retry is the seam that makes the swap lossless: a
-// datagram that loaded the old epoch just as it was retired is simply
-// re-dispatched against the successor — never dropped.
-func (g *Gateway) handle(dg transport.Datagram) {
-	g.received.Add(1)
-	for attempt := 0; attempt < 4; attempt++ {
-		ep := g.current.Load()
-		if ep == nil {
-			return
-		}
-		plane := ep.tenants[dg.Destination]
-		if plane == nil {
-			g.noTenant.Add(1)
-			return
-		}
-		shard := plane.grp.Shard(plane.grp.ShardOfIncoming(dg))
-		opened, err := shard.Open(dg)
-		switch {
-		case err == nil:
-			g.delivered.Add(1)
-			g.reply(plane, dg.Source, opened.Payload)
-			return
-		case errors.Is(err, core.ErrDraining):
-			continue
-		case errors.Is(err, core.ErrChallengeAbsorbed):
-			g.absorbed.Add(1)
-			return
-		default:
-			// Refused: the shard's drop ledger has the reason.
-			g.opts.Logf("gateway: tenant %s: refused datagram from %s: %v", dg.Destination, dg.Source, err)
-			return
-		}
-	}
-	// Four consecutive swaps raced this one datagram — possible only
-	// under adversarial reconfiguration rates, but counted so the
-	// reconciliation invariant stays exact rather than approximately
-	// true.
-	g.retryStarved.Add(1)
-}
-
-// reply seals an accepted payload back to its sender when the tenant
-// is in echo mode. Like handle, it retries across an epoch swap.
-func (g *Gateway) reply(plane *tenantPlane, dst principal.Address, payload []byte) {
-	if plane.cfg.Mode == "sink" {
-		return
-	}
-	out := transport.Datagram{Source: plane.id.Addr, Destination: dst, Payload: payload}
-	for attempt := 0; attempt < 4; attempt++ {
-		shard := plane.grp.Shard(plane.grp.ShardOfPair(plane.id.Addr, dst))
-		sealed, err := shard.Seal(out, plane.cfg.SecretEcho)
-		switch {
-		case err == nil:
-			if err := g.send(plane, sealed); err != nil {
-				g.echoFailures.Add(1)
-				g.opts.Logf("gateway: tenant %s: echo to %s: %v", plane.id.Addr, dst, err)
-				return
-			}
-			g.echoed.Add(1)
-			return
-		case errors.Is(err, core.ErrDraining):
-			cur := g.current.Load()
-			if cur == nil {
-				g.echoFailures.Add(1)
-				return
-			}
-			np := cur.tenants[plane.id.Addr]
-			if np == nil {
-				g.echoFailures.Add(1)
-				return
-			}
-			plane = np
-			continue
-		default:
-			g.echoFailures.Add(1)
-			g.opts.Logf("gateway: tenant %s: echo seal for %s: %v", plane.id.Addr, dst, err)
-			return
-		}
-	}
-	g.echoFailures.Add(1)
-}
-
-// send pushes a sealed datagram out the tenant's listener.
-func (g *Gateway) send(plane *tenantPlane, dg transport.Datagram) error {
-	g.listenMu.Lock()
-	ln := g.listeners[plane.id.Addr]
-	g.listenMu.Unlock()
-	if ln == nil {
-		return errors.New("gateway: listener gone")
-	}
-	return ln.tr.Send(dg)
 }
 
 // FlushPeer evicts one peer's keying state from every shard of the
@@ -534,6 +423,7 @@ type Stats struct {
 	NoTenant     uint64            `json:"no_tenant"`
 	Absorbed     uint64            `json:"absorbed"`
 	RetryStarved uint64            `json:"retry_starved"`
+	Redispatched uint64            `json:"redispatched"`
 	ActiveFlows  int               `json:"active_flows"`
 	Drops        map[string]uint64 `json:"drops,omitempty"`
 	Tenants      []TenantStats     `json:"tenants,omitempty"`
@@ -551,6 +441,7 @@ func (g *Gateway) Stats() Stats {
 		NoTenant:     g.noTenant.Load(),
 		Absorbed:     g.absorbed.Load(),
 		RetryStarved: g.retryStarved.Load(),
+		Redispatched: g.redispatched.Load(),
 		Drops:        make(map[string]uint64),
 	}
 	var drops [core.NumDropReasons]uint64
@@ -616,6 +507,7 @@ func (g *Gateway) Shutdown(timeout time.Duration) (Stats, error) {
 	}
 	g.listenMu.Unlock()
 	g.recvWG.Wait()
+	g.rateLog.flush()
 
 	var firstErr error
 	if ep := g.current.Load(); ep != nil {

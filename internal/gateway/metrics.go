@@ -27,6 +27,7 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 			obs.CounterFamily("fbs_gateway_echo_failures_total", "Echo replies that failed to seal or send.", st.EchoFailures),
 			obs.CounterFamily("fbs_gateway_no_tenant_total", "Datagrams whose destination matched no tenant.", st.NoTenant),
 			obs.CounterFamily("fbs_gateway_absorbed_total", "Prefilter control frames absorbed at the gateway.", st.Absorbed),
+			obs.CounterFamily("fbs_gateway_redispatched_total", "Datagrams re-dispatched against a successor epoch after the one they loaded retired mid-batch.", st.Redispatched),
 			obs.GaugeFamily("fbs_gateway_tenants", "Tenants in the live config epoch.", float64(len(st.Tenants))),
 		}
 		flows := obs.Family{

@@ -74,7 +74,8 @@ func (u *UDPTransport) ReceiveBatch(buf []Datagram) (int, error) {
 
 // batchState is embedded in UDPTransport: the fallback switches plus
 // the reusable per-socket batch scratch (recvmmsg slot buffers, the
-// sendmmsg frame arena, and the receive-side address intern table).
+// sendmmsg frame arena, both directions' vector-call structures, and
+// the receive-side address intern table).
 // Batched sends and receives on one socket each serialise on their
 // mutex, which matches how a sharded deployment drives one socket per
 // shard.
@@ -83,10 +84,12 @@ type batchState struct {
 	mmsgBroken atomic.Int32
 	gsoBroken  atomic.Int32
 
-	recvMu     sync.Mutex
-	recvBufs   [][]byte
-	addrIntern map[string]principal.Address
+	recvMu      sync.Mutex
+	recvBufs    [][]byte
+	recvScratch *mmsgRecvScratch
+	addrIntern  map[string]principal.Address
 
-	sendMu    sync.Mutex
-	sendArena []byte
+	sendMu      sync.Mutex
+	sendArena   []byte
+	sendScratch *mmsgSendScratch
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"fbs/internal/principal"
 )
 
 // udpPair binds two loopback UDP transports mapped at each other.
@@ -182,5 +184,76 @@ func TestNetworkBatchMatchesLoop(t *testing.T) {
 		if loopOut[i].Source != batchOut[i].Source || string(loopOut[i].Payload) != string(batchOut[i].Payload) {
 			t.Fatalf("delivery %d diverges: %v vs %v", i, loopOut[i], batchOut[i])
 		}
+	}
+}
+
+// TestUDPBatchLearnsPeers pins route learning on the batch receive
+// path: a recvmmsg receiver and a portable-fallback receiver fed the
+// same frames learn identical principal → UDP origin routes, the latest
+// origin wins when a principal re-binds to another socket, and the
+// principals behind one origin share one interned route value.
+func TestUDPBatchLearnsPeers(t *testing.T) {
+	bind := func(name string) *UDPTransport {
+		t.Helper()
+		u, err := NewUDPTransport(principal.Address(name), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { u.Close() })
+		return u
+	}
+	fast, portable := bind("gw-fast"), bind("gw-portable")
+	portable.SetPortableBatch(true)
+	recvs := []*UDPTransport{fast, portable}
+	s1, s2 := bind("sock-1"), bind("sock-2")
+	for _, r := range recvs {
+		r.SetLearnPeers(true)
+		for _, s := range []*UDPTransport{s1, s2} {
+			if err := s.AddPeer(r.local, r.LocalAddr().String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send := func(s *UDPTransport, srcs ...principal.Address) {
+		t.Helper()
+		for _, r := range recvs {
+			var dgs []Datagram
+			for _, src := range srcs {
+				dgs = append(dgs, Datagram{Source: src, Destination: r.local, Payload: []byte("hi " + string(src))})
+			}
+			if n, err := s.SendBatch(dgs); err != nil || n != len(dgs) {
+				t.Fatalf("SendBatch: %d, %v", n, err)
+			}
+		}
+	}
+	send(s1, "alice", "carol")
+	send(s2, "bob")
+	for _, r := range recvs {
+		collect(t, r, 3)
+	}
+	send(s2, "alice") // alice re-binds to the second socket
+	for _, r := range recvs {
+		collect(t, r, 1)
+	}
+
+	want := map[principal.Address]string{
+		"alice": s2.LocalAddr().String(),
+		"bob":   s2.LocalAddr().String(),
+		"carol": s1.LocalAddr().String(),
+	}
+	for _, r := range recvs {
+		r.mu.RLock()
+		for p, addr := range want {
+			if got := r.peers[p]; got == nil || got.String() != addr {
+				t.Errorf("%s: route for %s = %v, want %s", r.local, p, got, addr)
+			}
+		}
+		if r.peers["alice"] != r.peers["bob"] {
+			t.Errorf("%s: principals behind one origin hold distinct route values", r.local)
+		}
+		r.mu.RUnlock()
+	}
+	if mmsgAvailable && fast.usePortable() {
+		t.Error("the recvmmsg receiver fell back to the portable path")
 	}
 }

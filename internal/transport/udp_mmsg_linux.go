@@ -4,6 +4,7 @@ package transport
 
 import (
 	"fmt"
+	"net/netip"
 	"syscall"
 	"unsafe"
 
@@ -70,6 +71,25 @@ type sendGroup struct {
 	first   int // index of the run's first datagram (for its sockaddr)
 }
 
+// mmsgSendScratch and mmsgRecvScratch are a socket's vector-call
+// structures, kept across calls (under sendMu and recvMu) rather than
+// built per call: the kernel reads them through raw pointers, so as
+// locals they would escape to the heap on every batch.
+type mmsgSendScratch struct {
+	addrs  [mmsgMaxBatch]rawSockaddrInet4
+	offs   [mmsgMaxBatch + 1]int
+	groups [mmsgMaxBatch]sendGroup
+	iovs   [mmsgMaxBatch]iovec
+	hdrs   [mmsgMaxBatch]mmsghdr
+	cmsgs  [mmsgMaxBatch]gsoCmsg
+}
+
+type mmsgRecvScratch struct {
+	iovs  [mmsgMaxBatch]iovec
+	hdrs  [mmsgMaxBatch]mmsghdr
+	names [mmsgMaxBatch]rawSockaddrInet6
+}
+
 type iovec struct {
 	Base *byte
 	Len  uint64
@@ -98,6 +118,35 @@ type rawSockaddrInet4 struct {
 	Port   uint16 // network byte order
 	Addr   [4]byte
 	Zero   [8]byte
+}
+
+// rawSockaddrInet6 is struct sockaddr_in6, the largest name a UDP
+// socket reports: each recvmmsg slot gets one, and an AF_INET source
+// fills its rawSockaddrInet4-shaped prefix.
+type rawSockaddrInet6 struct {
+	Family   uint16
+	Port     uint16 // network byte order
+	Flowinfo uint32
+	Addr     [16]byte
+	ScopeID  uint32
+}
+
+// addrPort decodes the source address recvmmsg wrote into a slot's
+// name buffer. ok is false for a family (or an IPv6 scope) the fast
+// path does not parse; Go's own receive path parses those.
+func (sa *rawSockaddrInet6) addrPort() (ap netip.AddrPort, ok bool) {
+	port := sa.Port<<8 | sa.Port>>8
+	switch sa.Family {
+	case syscall.AF_INET:
+		a4 := (*rawSockaddrInet4)(unsafe.Pointer(sa))
+		return netip.AddrPortFrom(netip.AddrFrom4(a4.Addr), port), true
+	case syscall.AF_INET6:
+		if sa.ScopeID != 0 {
+			return netip.AddrPort{}, false
+		}
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), port), true
+	}
+	return netip.AddrPort{}, false
 }
 
 // sendBatchMmsg transmits dgs with sendmmsg, coalescing equal-size
@@ -136,12 +185,18 @@ func (u *UDPTransport) sendBatchMmsg(dgs []Datagram) (n int, err error, handled 
 // call, retrying without GSO if the kernel rejects UDP_SEGMENT.
 func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled bool) {
 	batch := len(dgs)
-	var addrs [mmsgMaxBatch]rawSockaddrInet4
-	var offs [mmsgMaxBatch + 1]int
+	if u.sendScratch == nil {
+		u.sendScratch = new(mmsgSendScratch)
+	}
+	addrs, offs := &u.sendScratch.addrs, &u.sendScratch.offs
 	// Frames are packed into one reusable arena rather than allocated
 	// per datagram; iovecs are built only after the arena stops
 	// growing, since append may move it.
 	arena := u.sendArena[:0]
+	// A datagram without a mapping stops the batch there: the prefix
+	// before it is still sent, so the returned count names exactly the
+	// datagrams handed off, as a loop of Send calls would.
+	var mapErr error
 	for i := 0; i < batch; i++ {
 		dg := &dgs[i]
 		if dg.Source == "" {
@@ -151,7 +206,9 @@ func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled 
 		peer, ok := u.peers[dg.Destination]
 		u.mu.RUnlock()
 		if !ok {
-			return 0, fmt.Errorf("transport: no UDP mapping for principal %q", dg.Destination), true
+			mapErr = fmt.Errorf("transport: no UDP mapping for principal %q", dg.Destination)
+			batch = i
+			break
 		}
 		ip4 := peer.IP.To4()
 		if ip4 == nil {
@@ -168,6 +225,9 @@ func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled 
 	}
 	offs[batch] = len(arena)
 	u.sendArena = arena
+	if batch == 0 {
+		return 0, mapErr, true
+	}
 
 	gso := u.gsoBroken.Load() == 0
 	for {
@@ -180,7 +240,7 @@ func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled 
 			n += sent
 			dgsLeft := batch - n
 			if dgsLeft == 0 {
-				return n, nil, true
+				return n, mapErr, true
 			}
 			copy(offs[:dgsLeft+1], offs[n:batch+1])
 			copy(addrs[:dgsLeft], addrs[n:batch])
@@ -191,7 +251,7 @@ func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled 
 		if callErr != nil {
 			return n, fmt.Errorf("transport: sendmmsg: %w", callErr), true
 		}
-		return n, nil, true
+		return n, mapErr, true
 	}
 }
 
@@ -200,7 +260,8 @@ func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled 
 // sent (message sends are whole groups, so the count maps exactly).
 func (u *UDPTransport) sendGroupsMmsg(arena []byte, addrs []rawSockaddrInet4, offs []int, gso bool) (int, error) {
 	batch := len(addrs)
-	var groups [mmsgMaxBatch]sendGroup
+	sc := u.sendScratch
+	groups := &sc.groups
 	ng := 0
 	for i := 0; i < batch; i++ {
 		size := offs[i+1] - offs[i]
@@ -217,9 +278,7 @@ func (u *UDPTransport) sendGroupsMmsg(arena []byte, addrs []rawSockaddrInet4, of
 		ng++
 	}
 
-	var iovs [mmsgMaxBatch]iovec
-	var hdrs [mmsgMaxBatch]mmsghdr
-	var cmsgs [mmsgMaxBatch]gsoCmsg
+	iovs, hdrs, cmsgs := &sc.iovs, &sc.hdrs, &sc.cmsgs
 	for g := 0; g < ng; g++ {
 		gr := &groups[g]
 		iovs[g] = iovec{Base: &arena[gr.off], Len: uint64(gr.size)}
@@ -277,7 +336,11 @@ func (u *UDPTransport) sendGroupsMmsg(arena []byte, addrs []rawSockaddrInet4, of
 // fail address decoding are skipped, exactly as a Receive loop would
 // surface them one error at a time — except the batch path drops them
 // silently to keep the happy-path contract simple; the single-datagram
-// path remains the debugging tool for malformed framing.
+// path remains the debugging tool for malformed framing. With learning
+// on, each well-formed frame teaches its source's reply route in slot
+// order, through the same rule Receive applies; a source address the
+// fast path cannot parse latches the socket to the portable path, whose
+// Receive parses it.
 func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled bool) {
 	batch := len(buf)
 	if batch > mmsgMaxBatch {
@@ -291,11 +354,18 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 			u.recvBufs[i] = make([]byte, mmsgSlotSize)
 		}
 	}
-	var iovs [mmsgMaxBatch]iovec
-	var hdrs [mmsgMaxBatch]mmsghdr
+	if u.recvScratch == nil {
+		u.recvScratch = new(mmsgRecvScratch)
+	}
+	iovs, hdrs, names := &u.recvScratch.iovs, &u.recvScratch.hdrs, &u.recvScratch.names
 	for i := 0; i < batch; i++ {
 		iovs[i] = iovec{Base: &u.recvBufs[i][0], Len: mmsgSlotSize}
-		hdrs[i].Hdr = msghdr{Iov: &iovs[i], Iovlen: 1}
+		hdrs[i].Hdr = msghdr{
+			Name:    (*byte)(unsafe.Pointer(&names[i])),
+			Namelen: uint32(unsafe.Sizeof(names[i])),
+			Iov:     &iovs[i],
+			Iovlen:  1,
+		}
 	}
 	rc, rerr := u.conn.SyscallConn()
 	if rerr != nil {
@@ -335,11 +405,19 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 		need += int(hdrs[i].Len)
 	}
 	arena := make([]byte, 0, need)
+	learn := u.learn.Load()
 	n = 0
 	for i := 0; i < got; i++ {
 		dg, derr := u.decodeFrameInto(u.recvBufs[i][:hdrs[i].Len], &arena)
 		if derr != nil {
 			continue
+		}
+		if learn {
+			if from, ok := names[i].addrPort(); ok {
+				u.learnRoute(dg.Source, from)
+			} else {
+				u.mmsgBroken.Store(1)
+			}
 		}
 		buf[n] = dg
 		n++
@@ -351,31 +429,6 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 		return 0, fmt.Errorf("transport: bad frame batch"), true
 	}
 	return n, nil, true
-}
-
-// appendWireAddress appends the length-prefixed wire form of a without
-// the intermediate allocation Address.Wire makes.
-func appendWireAddress(b []byte, a principal.Address) []byte {
-	b = append(b, byte(len(a)>>8), byte(len(a)))
-	return append(b, a...)
-}
-
-// decodeFrame parses one wire frame (length-prefixed source and
-// destination addresses, then payload) into an owned Datagram.
-func decodeFrame(b []byte) (Datagram, error) {
-	src, used, err := principal.DecodeAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	dst, used, err := principal.DecodeAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	payload := make([]byte, len(b))
-	copy(payload, b)
-	return Datagram{Source: src, Destination: dst, Payload: payload}, nil
 }
 
 // decodeFrameInto is decodeFrame for the batch path: the payload copy

@@ -7,6 +7,11 @@ package transport
 
 const mmsgAvailable = false
 
+type (
+	mmsgSendScratch struct{}
+	mmsgRecvScratch struct{}
+)
+
 func (u *UDPTransport) sendBatchMmsg(dgs []Datagram) (n int, err error, handled bool) {
 	return 0, nil, false
 }
