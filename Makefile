@@ -9,8 +9,8 @@
 
 GO ?= go
 GOFMT ?= gofmt
-# FUZZTIME is per fuzz target; CI runs five targets, so the default
-# keeps the whole fuzz-smoke step to ~75 s.
+# FUZZTIME is per fuzz target; CI runs six targets, so the default
+# keeps the whole fuzz-smoke step to ~90 s.
 FUZZTIME ?= 15s
 # Pinned staticcheck build: `go run` fetches and caches it, so the
 # toolchain — not PATH — decides the version CI lints with.
@@ -25,13 +25,18 @@ build:
 	$(GO) build ./...
 
 # lint fails if any file needs reformatting (gofmt -l prints it), runs
-# go vet, and runs the pinned staticcheck.
+# go vet, and runs the pinned staticcheck. cryptolib's ChaCha20 has an
+# amd64 assembly kernel and a generic Go path for every other GOARCH
+# (and the purego tag); the arm64 vet and the purego test keep the
+# generic path built and tested on an amd64 runner.
 lint:
 	@fmtout=$$($(GOFMT) -l .); \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/cryptolib
+	$(GO) test -tags purego ./internal/cryptolib
 	@$(MAKE) --no-print-directory staticcheck
 
 # staticcheck runs the pinned tool via `go run`, which needs either a
@@ -87,8 +92,9 @@ bench-batch:
 		if [ $$i -gt $(BATCH_TRIES) ]; then echo "bench-batch: no passing run in $(BATCH_TRIES) attempts"; exit 1; fi; \
 	done
 
-# fuzz-smoke gives each core fuzz target a short budget on top of the
-# checked-in corpus — enough to catch decoder regressions without
+# fuzz-smoke gives each core fuzz target, and the ChaCha20 kernel's
+# cross-check against its generic reference, a short budget on top of
+# the checked-in corpus — enough to catch decoder regressions without
 # turning the gate into a campaign. Targets run one at a time because
 # `go test -fuzz` accepts a single target per invocation.
 fuzz-smoke:
@@ -97,6 +103,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzCookie$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzOpenBatchEquivalence$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsim -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzChaChaKernel$$' -fuzztime=$(FUZZTIME)
 
 # diff soaks the differential harness: seeded op streams cross-validated
 # between the optimised endpoint and the naive reference model

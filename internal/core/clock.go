@@ -93,12 +93,7 @@ func (ts Timestamp) Time() time.Time {
 // just before it — not ~8000 years stale, and never falsely fresh a
 // whole era later.
 func (ts Timestamp) Fresh(now time.Time, window time.Duration) bool {
-	nowMin := floorDiv(now.Unix()-timestampEpochUnix, 60)
-	// Signed modular distance in minutes, in [-2^31, 2^31): how far the
-	// sender's counter sits from the receiver's, wrap-aware.
-	delta := int64(int32(uint32(ts) - uint32(nowMin)))
-	sender := time.Unix(timestampEpochUnix+(nowMin+delta)*60, 0)
-	d := now.Sub(sender) // saturates at ±292y for far-apart values, still > window
+	d := ts.age(now)
 	if d < 0 {
 		d = -d
 		if d < 0 {
@@ -108,6 +103,26 @@ func (ts Timestamp) Fresh(now time.Time, window time.Duration) bool {
 		}
 	}
 	return d <= window
+}
+
+// expired reports whether the timestamp is more than window in the
+// past at now: the point from which Fresh can never again accept it
+// while the clock runs forward. A timestamp ahead of now is not
+// expired.
+func (ts Timestamp) expired(now time.Time, window time.Duration) bool {
+	return ts.age(now) > window
+}
+
+// age is how far now is past the start of the timestamp's minute,
+// negative for a timestamp ahead of now, with the sender's counter
+// placed at the representative nearest the receiver's.
+func (ts Timestamp) age(now time.Time) time.Duration {
+	nowMin := floorDiv(now.Unix()-timestampEpochUnix, 60)
+	// Signed modular distance in minutes, in [-2^31, 2^31): how far the
+	// sender's counter sits from the receiver's, wrap-aware.
+	delta := int64(int32(uint32(ts) - uint32(nowMin)))
+	sender := time.Unix(timestampEpochUnix+(nowMin+delta)*60, 0)
+	return now.Sub(sender) // saturates at ±292y for far-apart values, still > window
 }
 
 // floorDiv divides rounding toward negative infinity (Go's / truncates

@@ -205,6 +205,30 @@ func TestReplayWithinWindow(t *testing.T) {
 	}
 }
 
+// TestReplayRefusedUnderSenderSkew is the regression for replay-cache
+// expiry under clock skew: the sender's clock runs 5 minutes ahead of a
+// 10-minute window, so its datagram stays fresh for 15 minutes after
+// it arrives. A byte-exact replay 10m01s after first receipt — past a
+// window measured from arrival, inside the timestamp's own — must
+// still be refused as a duplicate.
+func TestReplayRefusedUnderSenderSkew(t *testing.T) {
+	w := newWorld(t)
+	a, b, _ := endpointPair(t, w, func(c *Config) { c.EnableReplayCache = true })
+	w.clock.Advance(5 * time.Minute)
+	sealed, err := a.Seal(transport.Datagram{Source: "alice", Destination: "bob", Payload: []byte("x")}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.clock.Advance(-5 * time.Minute)
+	if _, err := b.Open(sealed); err != nil {
+		t.Fatalf("first open: %v", err)
+	}
+	w.clock.Advance(10*time.Minute + time.Second)
+	if _, err := b.Open(sealed); !errors.Is(err, ErrReplay) {
+		t.Fatalf("replay 10m01s after receipt returned %v, want ErrReplay", err)
+	}
+}
+
 // TestReplayBudgetSurfacesThroughOpen pins the receive-path contract of
 // the refuse-the-newcomer policy: when the state budget leaves no room
 // to record a datagram's replay signature, Open drops it under

@@ -608,6 +608,9 @@ func (p *prefilter) emitChallenge(e *Endpoint, src principal.Address, now time.T
 //   - at PrefilterChallenge, an unknown peer without an envelope is
 //     refused (DropChallenged) and a challenge is emitted in its
 //     place.
+//
+// Refusals return the bare sentinels: this path runs once per shed
+// datagram of a flood, and the caller already knows the source.
 func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error {
 	p := e.pf
 	p.tick(e)
@@ -623,7 +626,7 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 					if tc.active() {
 						tc.span(Span{Kind: SpanCookie, Start: now, Attr: uint64(ck.epoch)})
 					}
-					return fmt.Errorf("%w: from %q", ErrChallengeAbsorbed, dg.Source)
+					return ErrChallengeAbsorbed
 				}
 				// A challenge frame with trailing bytes is not ours;
 				// fall through and let the header parse refuse it.
@@ -641,7 +644,7 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 					if tc.active() {
 						tc.span(Span{Kind: SpanPrefilter, Drop: DropBadCookie, Start: now, Attr: uint64(ck.epoch)})
 					}
-					return fmt.Errorf("%w: from %q", ErrBadCookie, dg.Source)
+					return ErrBadCookie
 				}
 				p.echoAccepted.Add(1)
 				dg.Payload = wire[CookieFrameLen:]
@@ -662,7 +665,7 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 			if tc.active() {
 				tc.span(Span{Kind: SpanPrefilter, Drop: DropPrefilter, Start: now, Attr: uint64(score)})
 			}
-			return fmt.Errorf("%w: prefix %q", ErrPrefilter, prefix)
+			return ErrPrefilter
 		}
 	}
 	if lvl >= PrefilterChallenge && !e.ks.KnownPeer(dg.Source) {
@@ -672,7 +675,7 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 		if tc.active() {
 			tc.span(Span{Kind: SpanPrefilter, Drop: DropChallenged, Start: now})
 		}
-		return fmt.Errorf("%w: %q", ErrChallenged, dg.Source)
+		return ErrChallenged
 	}
 	return nil
 }

@@ -23,6 +23,13 @@ import (
 // "complete replay protection can only be achieved in high-layer
 // protocols".
 //
+// A signature is kept until its own timestamp is more than the window in
+// the past — until Fresh can never accept that datagram again — not for
+// a window after it arrived: a sender whose clock runs ahead keeps its
+// datagrams fresh for up to twice the window, and forgetting them
+// earlier would let a byte-exact replay back in. So a remembered
+// signature is always a duplicate.
+//
 // Because every accepted datagram adds an entry that only the freshness
 // window expires, the replay cache is the softest target for a
 // state-holding attack: an authenticated peer churning flows grows it at
@@ -45,21 +52,12 @@ func (s replaySig) stripe(mask uint32) uint32 {
 	return (s.Confounder ^ uint32(s.SFL)) & mask
 }
 
-// replayEntry is what the cache remembers per signature: when it was
-// accepted (nanoseconds since the cache's base time) and the stripe's
-// occupancy record for its source, so expiry sweeping keeps the
-// per-peer counts exact. The cache holds one entry per datagram
-// accepted within the freshness window, so the entry is kept to a
-// 16-byte value: with the 24-byte signature a map slot is 40 bytes,
-// where a time.Time plus an address string made it 64.
-type replayEntry struct {
-	at  int64
-	occ *peerOcc
-}
-
 // peerOcc is one source's occupancy within a stripe. Every entry from
 // that source points at it; the record leaves the stripe's peer table
-// when its count reaches zero.
+// when its count reaches zero. It is all the cache remembers per
+// signature, so expiry sweeping keeps the per-peer counts exact: expiry
+// reads the signature's own timestamp, so no arrival time is stored and
+// with the 24-byte signature a map slot is 32 bytes.
 type peerOcc struct {
 	src principal.Address
 	n   int
@@ -69,7 +67,7 @@ type peerOcc struct {
 // signature map plus its share of the per-peer occupancy counts.
 type replayStripe struct {
 	mu       sync.Mutex
-	seen     map[replaySig]replayEntry
+	seen     map[replaySig]*peerOcc
 	peers    map[principal.Address]*peerOcc
 	refusals uint64
 	_        [40]byte
@@ -88,10 +86,10 @@ func (st *replayStripe) occupy(src principal.Address) *peerOcc {
 }
 
 // remove deletes sig under the stripe lock, keeping peer counts exact.
-func (st *replayStripe) remove(sig replaySig, e replayEntry) {
+func (st *replayStripe) remove(sig replaySig, occ *peerOcc) {
 	delete(st.seen, sig)
-	if e.occ.n--; e.occ.n == 0 {
-		delete(st.peers, e.occ.src)
+	if occ.n--; occ.n == 0 {
+		delete(st.peers, occ.src)
 	}
 }
 
@@ -135,25 +133,24 @@ const (
 // window, by whichever Check call notices the sweep is due.
 type ReplayCache struct {
 	window    time.Duration
-	base      time.Time // entry times are offsets from here
 	stripes   []replayStripe
 	mask      uint32
 	lastSweep atomic.Int64 // unix nanos of the last full sweep
 	budget    *Budget
 }
 
-// NewReplayCache creates a cache whose entries expire after window (use
-// the endpoint's freshness window).
+// NewReplayCache creates a cache whose entries expire once their
+// timestamp is more than window in the past (use the endpoint's
+// freshness window).
 func NewReplayCache(window time.Duration) *ReplayCache {
 	n := defaultStripeCount(1 << 30) // uncapped by table size
 	r := &ReplayCache{
 		window:  window,
-		base:    time.Now(),
 		stripes: make([]replayStripe, n),
 		mask:    uint32(n - 1),
 	}
 	for i := range r.stripes {
-		r.stripes[i].seen = make(map[replaySig]replayEntry)
+		r.stripes[i].seen = make(map[replaySig]*peerOcc)
 		r.stripes[i].peers = make(map[principal.Address]*peerOcc)
 	}
 	return r
@@ -163,13 +160,13 @@ func NewReplayCache(window time.Duration) *ReplayCache {
 // Call before the cache serves traffic.
 func (r *ReplayCache) SetBudget(b *Budget) { r.budget = b }
 
-// Check records the datagram from src and classifies it. A datagram is
-// only ever accepted with its signature recorded: at the budget hard
-// limit the newcomer is refused (ReplayRefused) rather than displacing a
-// resident signature or passing unrecorded — either of those would let
-// an attacker replay the displaced (or unrecorded) datagram within the
-// window. A refreshed signature whose previous sighting has expired is
-// budget-neutral.
+// Check records the datagram from src and classifies it; the caller has
+// already found its timestamp fresh at now. A datagram is only ever
+// accepted with its signature recorded: at the budget hard limit the
+// newcomer is refused (ReplayRefused) rather than displacing a resident
+// signature or passing unrecorded — either of those would let an
+// attacker replay the displaced (or unrecorded) datagram within the
+// window.
 func (r *ReplayCache) Check(src principal.Address, h *Header, now time.Time) ReplayVerdict {
 	var sig replaySig
 	sig.SFL = h.SFL
@@ -181,34 +178,22 @@ func (r *ReplayCache) Check(src principal.Address, h *Header, now time.Time) Rep
 	st := &r.stripes[sig.stripe(r.mask)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return r.checkLocked(st, src, sig, now)
+	return r.checkLocked(st, src, sig)
 }
 
 // checkLocked is Check's body with sig already computed and its stripe
 // lock already held.
-func (r *ReplayCache) checkLocked(st *replayStripe, src principal.Address, sig replaySig, now time.Time) ReplayVerdict {
-	at := r.offset(now)
-	if e, ok := st.seen[sig]; ok {
-		if at-e.at <= int64(r.window) {
-			return ReplayDuplicate
-		}
-		// Stale entry for the same signature: refresh in place
-		// (budget-neutral).
-		st.remove(sig, e)
-		st.seen[sig] = replayEntry{at: at, occ: st.occupy(src)}
-		return ReplayFresh
+func (r *ReplayCache) checkLocked(st *replayStripe, src principal.Address, sig replaySig) ReplayVerdict {
+	if _, ok := st.seen[sig]; ok {
+		return ReplayDuplicate
 	}
 	if !r.budget.TryCharge(CostReplayEntry) {
 		st.refusals++
 		return ReplayRefused
 	}
-	st.seen[sig] = replayEntry{at: at, occ: st.occupy(src)}
+	st.seen[sig] = st.occupy(src)
 	return ReplayFresh
 }
-
-// offset converts now to an entry time: nanoseconds since the cache's
-// base, measured on the monotonic clock when both readings carry one.
-func (r *ReplayCache) offset(now time.Time) int64 { return int64(now.Sub(r.base)) }
 
 // CheckRun checks up to batchChunk datagram signatures in one pass: one
 // sweep election for the run and one lock acquisition per stripe touched
@@ -238,7 +223,7 @@ func (r *ReplayCache) CheckRun(srcs []principal.Address, hs []Header, now time.T
 		st.mu.Lock()
 		for j := i; j < n; j++ {
 			if !done[j] && stripes[j] == stripes[i] {
-				verdicts[j] = r.checkLocked(st, srcs[j], sigs[j], now)
+				verdicts[j] = r.checkLocked(st, srcs[j], sigs[j])
 				done[j] = true
 			}
 		}
@@ -246,10 +231,11 @@ func (r *ReplayCache) CheckRun(srcs []principal.Address, hs []Header, now time.T
 	}
 }
 
-// maybeSweep drops expired entries once the last full sweep is more than
-// a window old. The CAS elects a single sweeper; everyone else proceeds
-// to their stripe immediately, and the sweeper takes one stripe lock at
-// a time so checks on other stripes continue in parallel.
+// maybeSweep drops the entries whose timestamp has expired once the
+// last full sweep is more than a window old. The CAS elects a single
+// sweeper; everyone else proceeds to their stripe immediately, and the
+// sweeper takes one stripe lock at a time so checks on other stripes
+// continue in parallel.
 func (r *ReplayCache) maybeSweep(now time.Time) {
 	last := r.lastSweep.Load()
 	n := now.UnixNano()
@@ -260,13 +246,12 @@ func (r *ReplayCache) maybeSweep(now time.Time) {
 		return
 	}
 	swept := 0
-	at := r.offset(now)
 	for i := range r.stripes {
 		st := &r.stripes[i]
 		st.mu.Lock()
-		for k, e := range st.seen {
-			if at-e.at > int64(r.window) {
-				st.remove(k, e)
+		for k, occ := range st.seen {
+			if k.Timestamp.expired(now, r.window) {
+				st.remove(k, occ)
 				swept++
 			}
 		}

@@ -34,12 +34,41 @@ func TestReplayCacheDetectsDuplicates(t *testing.T) {
 func TestReplayCacheExpires(t *testing.T) {
 	rc := NewReplayCache(time.Minute)
 	now := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
-	h := &Header{SFL: 9, Confounder: 7}
+	h := &Header{SFL: 9, Confounder: 7, Timestamp: TimestampOf(now)}
 	rc.Check("alice", h, now)
-	// Outside the window the entry no longer matters (the freshness
-	// check would reject the datagram anyway).
+	// Once the timestamp is outside the window the entry no longer
+	// matters (the freshness check would reject the datagram anyway).
 	if rc.Check("alice", h, now.Add(2*time.Minute)) != ReplayFresh {
 		t.Fatal("expired entry still flagged as duplicate")
+	}
+}
+
+// TestReplayCacheKeepsSkewedSignatures pins the expiry rule: an entry
+// lives until its own timestamp is more than the window in the past,
+// not for a window after it arrived. A sender 5 minutes ahead of a
+// 10-minute window stays fresh for 15 minutes after its datagram
+// arrives, so the signature must outlive the sweeps in between.
+func TestReplayCacheKeepsSkewedSignatures(t *testing.T) {
+	const window = 10 * time.Minute
+	rc := NewReplayCache(window)
+	now := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
+	h := &Header{SFL: 3, Confounder: 0x5CE3, Timestamp: TimestampOf(now.Add(5 * time.Minute))}
+	if rc.Check("alice", h, now) != ReplayFresh {
+		t.Fatal("first sighting not fresh")
+	}
+	for _, d := range []time.Duration{window + time.Second, 12 * time.Minute, 15 * time.Minute} {
+		if !h.Timestamp.Fresh(now.Add(d), window) {
+			t.Fatalf("+%v: test timestamp already stale", d)
+		}
+		if rc.Check("alice", h, now.Add(d)) != ReplayDuplicate {
+			t.Fatalf("+%v: replay of a still-fresh datagram accepted", d)
+		}
+	}
+	// Past the timestamp's own window the next sweep drops it.
+	later := now.Add(2*window + time.Minute)
+	rc.Check("bob", &Header{SFL: 4, Timestamp: TimestampOf(later)}, later)
+	if got := rc.Len(); got != 1 {
+		t.Fatalf("Len after the skewed entry expired = %d, want 1", got)
 	}
 }
 
@@ -47,13 +76,14 @@ func TestReplayCacheSweeps(t *testing.T) {
 	rc := NewReplayCache(time.Minute)
 	now := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
 	for i := uint32(0); i < 100; i++ {
-		rc.Check("alice", &Header{SFL: 1, Confounder: i}, now)
+		rc.Check("alice", &Header{SFL: 1, Confounder: i, Timestamp: TimestampOf(now)}, now)
 	}
 	if rc.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", rc.Len())
 	}
 	// A sighting two minutes later sweeps the expired entries.
-	rc.Check("bob", &Header{SFL: 2, Confounder: 0}, now.Add(2*time.Minute))
+	later := now.Add(2 * time.Minute)
+	rc.Check("bob", &Header{SFL: 2, Confounder: 0, Timestamp: TimestampOf(later)}, later)
 	if rc.Len() > 2 {
 		t.Fatalf("Len after sweep = %d, want <= 2", rc.Len())
 	}
@@ -106,7 +136,7 @@ func TestReplayCacheBudgetRefusesAtHardLimit(t *testing.T) {
 	rc.SetBudget(b)
 	now := famEpoch
 	for i := uint32(0); i < 50; i++ {
-		rc.Check("mallory", &Header{SFL: 1, Confounder: i}, now)
+		rc.Check("mallory", &Header{SFL: 1, Confounder: i, Timestamp: TimestampOf(now)}, now)
 	}
 	if got := rc.Len(); got != 10 {
 		t.Fatalf("entries = %d, want exactly the 10 the budget admits", got)
@@ -119,7 +149,8 @@ func TestReplayCacheBudgetRefusesAtHardLimit(t *testing.T) {
 	}
 	// Sweeping expired entries returns their budget, so a later
 	// newcomer is admitted again.
-	if rc.Check("alice", &Header{SFL: 2, Confounder: 0, Timestamp: TimestampOf(now)}, now.Add(21*time.Minute)) != ReplayFresh {
+	later := now.Add(21 * time.Minute)
+	if rc.Check("alice", &Header{SFL: 2, Confounder: 0, Timestamp: TimestampOf(later)}, later) != ReplayFresh {
 		t.Fatal("newcomer refused after the sweep made room")
 	}
 	if b.Used() != CostReplayEntry {
@@ -131,13 +162,13 @@ func TestReplayCachePerPeerOccupancy(t *testing.T) {
 	rc := NewReplayCache(10 * time.Minute)
 	now := famEpoch
 	for i := uint32(0); i < 5; i++ {
-		rc.Check("alice", &Header{SFL: 1, Confounder: i}, now)
+		rc.Check("alice", &Header{SFL: 1, Confounder: i, Timestamp: TimestampOf(now)}, now)
 	}
 	for i := uint32(0); i < 3; i++ {
-		rc.Check("bob", &Header{SFL: 2, Confounder: i}, now)
+		rc.Check("bob", &Header{SFL: 2, Confounder: i, Timestamp: TimestampOf(now)}, now)
 	}
 	// Duplicates do not inflate occupancy.
-	rc.Check("alice", &Header{SFL: 1, Confounder: 0}, now.Add(time.Second))
+	rc.Check("alice", &Header{SFL: 1, Confounder: 0, Timestamp: TimestampOf(now)}, now.Add(time.Second))
 	per := rc.PerPeer()
 	if per["alice"] != 5 || per["bob"] != 3 {
 		t.Fatalf("per-peer occupancy = %v", per)

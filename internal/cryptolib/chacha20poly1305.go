@@ -15,7 +15,9 @@ import (
 // Poly1305 key (derived from block counter zero) authenticates the AAD
 // and ciphertext together. The data-plane suites use it for the modern
 // non-NIST cipher option; the refmodel shares only this primitive and
-// reassembles nonce/AAD framing independently.
+// reassembles nonce/AAD framing independently. The keystream comes from
+// chachaXORStream: the SSE2 kernel on amd64 (chacha20_amd64.s), the
+// scalar chachaBlock loop everywhere else.
 
 // ChaCha20Poly1305 sizes.
 const (
@@ -67,11 +69,12 @@ func (a *ChaCha20Poly1305) Seal(dst, nonce, plaintext, additionalData []byte) []
 
 	ret, out := aeadSliceForAppend(dst, len(plaintext)+Poly1305TagSize)
 	ct := out[:len(plaintext)]
-	chachaXORStream(&a.key, &n, 1, ct, plaintext)
+	var first [256]byte
+	head := firstChunk(&a.key, &n, &first, plaintext)
+	copy(ct, first[64:64+head])
+	chachaXORStream(&a.key, &n, 4, ct[head:], plaintext[head:])
 
-	var otk [32]byte
-	polyOneTimeKey(&a.key, &n, &otk)
-	tag := polyAEADTag(&otk, additionalData, ct)
+	tag := polyAEADTag((*[32]byte)(first[:32]), additionalData, ct)
 	copy(out[len(plaintext):], tag[:])
 	return ret
 }
@@ -94,16 +97,30 @@ func (a *ChaCha20Poly1305) Open(dst, nonce, ciphertext, additionalData []byte) (
 	body := ciphertext[:len(ciphertext)-Poly1305TagSize]
 	got := ciphertext[len(ciphertext)-Poly1305TagSize:]
 
-	var otk [32]byte
-	polyOneTimeKey(&a.key, &n, &otk)
-	want := polyAEADTag(&otk, additionalData, body)
+	// The first chunk is decrypted on the stack: no plaintext reaches
+	// dst before the tag verifies.
+	var first [256]byte
+	head := firstChunk(&a.key, &n, &first, body)
+	want := polyAEADTag((*[32]byte)(first[:32]), additionalData, body)
 	if subtle.ConstantTimeCompare(want[:], got) != 1 {
 		return nil, ErrAEADOpen
 	}
 
 	ret, out := aeadSliceForAppend(dst, len(body))
-	chachaXORStream(&a.key, &n, 1, out, body)
+	copy(out, first[64:64+head])
+	chachaXORStream(&a.key, &n, 4, out[head:], body[head:])
 	return ret, nil
+}
+
+// firstChunk runs keystream blocks 0-3 over buf, which it loads with
+// 64 zero bytes and then up to the first 192 bytes of in: buf[:32] is
+// the Poly1305 one-time key (RFC 8439 section 2.6, block 0) and
+// buf[64:64+head] is in[:head] XORed with blocks 1-3. One kernel call
+// yields both, where a separate key block would cost a fourth of one.
+func firstChunk(key *[8]uint32, nonce *[3]uint32, buf *[256]byte, in []byte) (head int) {
+	head = copy(buf[64:], in)
+	chachaXORStream(key, nonce, 0, buf[:64+head], buf[:64+head])
+	return head
 }
 
 // aeadSliceForAppend grows in (reusing capacity where possible) and
@@ -238,9 +255,11 @@ func chachaBlock(key *[8]uint32, nonce *[3]uint32, counter uint32, out *[64]byte
 	binary.LittleEndian.PutUint32(out[60:], x15+s15)
 }
 
-// chachaXORStream XORs src with the keystream starting at the given
-// block counter, writing into dst (dst and src may be the same slice).
-func chachaXORStream(key *[8]uint32, nonce *[3]uint32, counter uint32, dst, src []byte) {
+// chachaXORStreamGeneric XORs src with the keystream starting at the
+// given block counter, writing into dst (dst and src may be the same
+// slice), one scalar block at a time: the whole stream on the generic
+// build, and the reference the amd64 kernel is tested against.
+func chachaXORStreamGeneric(key *[8]uint32, nonce *[3]uint32, counter uint32, dst, src []byte) {
 	var block [64]byte
 	for len(src) > 0 {
 		chachaBlock(key, nonce, counter, &block)
@@ -260,14 +279,6 @@ func chachaXORStream(key *[8]uint32, nonce *[3]uint32, counter uint32, dst, src 
 		src = src[n:]
 		dst = dst[n:]
 	}
-}
-
-// polyOneTimeKey derives the Poly1305 one-time key from ChaCha20 block
-// counter zero (RFC 8439 section 2.6).
-func polyOneTimeKey(key *[8]uint32, nonce *[3]uint32, otk *[32]byte) {
-	var block [64]byte
-	chachaBlock(key, nonce, 0, &block)
-	copy(otk[:], block[:32])
 }
 
 // --- Poly1305 (RFC 8439 section 2.5), 64-bit limb implementation ---

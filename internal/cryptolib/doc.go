@@ -14,10 +14,21 @@
 //     strong — and deliberately slow — generator the paper cites as the
 //     bottleneck of per-datagram keying),
 //   - a linear congruential generator (the statistically random,
-//     deliberately cheap confounder source the paper recommends), and
-//   - CRC-32, the randomising cache-index hash from Section 5.3.
+//     deliberately cheap confounder source the paper recommends),
+//   - CRC-32, the randomising cache-index hash from Section 5.3, and
+//   - the ChaCha20-Poly1305 AEAD (RFC 8439) behind the modern data-plane
+//     suite.
+//
+// ChaCha20 has one assembly kernel, for amd64 (chacha20_amd64.s): it
+// computes four blocks at once with SSE2 only — each XMM register holds
+// one state word of all four blocks — and XORs them straight into the
+// destination, so Seal and Open run their whole keystream, the
+// Poly1305 one-time key included, through it. Every other GOARCH, and
+// the purego build tag, use the scalar Go block function, which is
+// also the reference the kernel is tested and fuzzed against.
 //
 // Everything is implemented from first principles on top of math/big and
-// encoding/binary only; the test suite cross-checks each primitive against
-// the Go standard library and published test vectors.
+// encoding/binary only, that kernel aside; the test suite cross-checks
+// each primitive against the Go standard library and published test
+// vectors.
 package cryptolib

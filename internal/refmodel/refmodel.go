@@ -129,7 +129,7 @@ type Endpoint struct {
 	table   []flowSlot
 	nextSFL uint64
 	masters map[principal.Address][16]byte
-	replay  map[replaySig]time.Time
+	replay  map[replaySig]struct{}
 	pf      *refPrefilter
 
 	drops    [core.NumDropReasons]uint64
@@ -185,7 +185,7 @@ func New(cfg Config) (*Endpoint, error) {
 		table:   make([]flowSlot, cfg.TableSize),
 		nextSFL: cfg.SFLSeed,
 		masters: make(map[principal.Address][16]byte),
-		replay:  make(map[replaySig]time.Time),
+		replay:  make(map[replaySig]struct{}),
 	}
 	if cfg.Prefilter.Enable {
 		pf, err := newRefPrefilter(cfg.Prefilter)
@@ -331,14 +331,27 @@ func timestampOf(t time.Time) uint32 {
 // freshness at second granularity, which matches core exactly for the
 // whole-second clocks differential runs use.
 func fresh(ts uint32, now time.Time, window time.Duration) bool {
-	nowMin := (now.Unix() - epochUnix) / 60
-	delta := int64(int32(ts - uint32(nowMin)))
-	senderSec := epochUnix + (nowMin+delta)*60
-	d := now.Unix() - senderSec
+	d := ageSeconds(ts, now)
 	if d < 0 {
 		d = -d
 	}
 	return d <= int64(window/time.Second)
+}
+
+// expired reports whether ts is more than window in the past at now:
+// a replay-window signature is kept until then, so a sender whose
+// clock runs ahead cannot outlive its own entry.
+func expired(ts uint32, now time.Time, window time.Duration) bool {
+	return ageSeconds(ts, now) > int64(window/time.Second)
+}
+
+// ageSeconds is how far now is past the start of the sender's minute
+// (negative when the sender is ahead), wrap-aware as fresh places it.
+func ageSeconds(ts uint32, now time.Time) int64 {
+	nowMin := (now.Unix() - epochUnix) / 60
+	delta := int64(int32(ts - uint32(nowMin)))
+	senderSec := epochUnix + (nowMin+delta)*60
+	return now.Unix() - senderSec
 }
 
 // Seal protects one datagram for dst (FBSSend, Figure 4): classify,
@@ -548,11 +561,12 @@ func (e *Endpoint) Open(src, dst principal.Address, wire []byte) ([]byte, error)
 		}
 	}
 	if e.cfg.EnableReplayCache {
-		// The naive window sweeps every expired signature on every
-		// check; an unexpired exact duplicate is rejected, anything
-		// else is recorded. No budget — the reference never refuses.
-		for k, at := range e.replay {
-			if now.Sub(at) > e.cfg.FreshnessWindow {
+		// The naive window sweeps, on every check, each signature
+		// whose own timestamp is more than the window in the past; a
+		// remembered exact duplicate is rejected, anything else is
+		// recorded. No budget — the reference never refuses.
+		for k := range e.replay {
+			if expired(k.ts, now, e.cfg.FreshnessWindow) {
 				delete(e.replay, k)
 			}
 		}
@@ -561,11 +575,11 @@ func (e *Endpoint) Open(src, dst principal.Address, wire []byte) ([]byte, error)
 		sig.conf = binary.BigEndian.Uint32(hdr[12:])
 		sig.ts = ts
 		copy(sig.mac[:], hdr[macOffset:macOffset+8])
-		if at, ok := e.replay[sig]; ok && now.Sub(at) <= e.cfg.FreshnessWindow {
+		if _, ok := e.replay[sig]; ok {
 			e.drops[core.DropReplay]++
 			return nil, core.ErrReplay
 		}
-		e.replay[sig] = now
+		e.replay[sig] = struct{}{}
 	}
 	e.accepted++
 	return body, nil

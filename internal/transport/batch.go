@@ -22,6 +22,12 @@ type BatchConn interface {
 	// fills buf with as many more as are ready without blocking again.
 	// It returns the number received, or an error once the endpoint is
 	// closed. A zero-length buf returns (0, nil) immediately.
+	//
+	// The payloads are valid until the next ReceiveBatch on the same
+	// transport: an implementation may hand out views of its own
+	// receive buffers rather than copies. A caller that keeps a payload
+	// past that point copies it; one transport is read by one goroutine
+	// at a time.
 	ReceiveBatch(buf []Datagram) (int, error)
 }
 
@@ -40,8 +46,9 @@ func SendBatch(tr Transport, dgs []Datagram) (int, error) {
 	return len(dgs), nil
 }
 
-// ReceiveBatch fills buf from tr: the transport's native batch receive
-// when available, otherwise one blocking Receive (a portable Transport
+// ReceiveBatch fills buf from tr under BatchConn.ReceiveBatch's payload
+// lifetime: the transport's native batch receive when available,
+// otherwise one blocking Receive (a portable Transport
 // offers no way to ask "is more ready?" without blocking, so the loop
 // fallback returns after the first datagram rather than stall the
 // batch).

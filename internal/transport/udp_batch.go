@@ -52,7 +52,9 @@ func (u *UDPTransport) SendBatch(dgs []Datagram) (int, error) {
 
 // ReceiveBatch implements BatchConn over recvmmsg where available: it
 // blocks for the first datagram, then returns whatever else the socket
-// already holds, up to len(buf).
+// already holds, up to len(buf). On the recvmmsg path the payloads
+// alias the socket's receive slots, so they are valid only until the
+// next ReceiveBatch on this transport.
 func (u *UDPTransport) ReceiveBatch(buf []Datagram) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
@@ -73,9 +75,9 @@ func (u *UDPTransport) ReceiveBatch(buf []Datagram) (int, error) {
 }
 
 // batchState is embedded in UDPTransport: the fallback switches plus
-// the reusable per-socket batch scratch (recvmmsg slot buffers, the
-// sendmmsg frame arena, both directions' vector-call structures, and
-// the receive-side address intern table).
+// the reusable per-socket batch scratch (the sendmmsg frame arena, both
+// directions' vector-call structures — the receive side's with its
+// slot buffers — and the receive-side address intern table).
 // Batched sends and receives on one socket each serialise on their
 // mutex, which matches how a sharded deployment drives one socket per
 // shard.
@@ -85,7 +87,6 @@ type batchState struct {
 	gsoBroken  atomic.Int32
 
 	recvMu      sync.Mutex
-	recvBufs    [][]byte
 	recvScratch *mmsgRecvScratch
 	addrIntern  map[string]principal.Address
 

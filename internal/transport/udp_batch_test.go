@@ -32,7 +32,8 @@ func udpPair(t *testing.T) (*UDPTransport, *UDPTransport) {
 }
 
 // collect receives exactly want datagrams via ReceiveBatch, with a
-// deadline so a lost-datagram bug fails instead of hanging.
+// deadline so a lost-datagram bug fails instead of hanging. A payload
+// is valid only until the next ReceiveBatch, so each is copied out.
 func collect(t *testing.T, tr Transport, want int) []Datagram {
 	t.Helper()
 	out := make([]Datagram, 0, want)
@@ -46,7 +47,10 @@ func collect(t *testing.T, tr Transport, want int) []Datagram {
 				t.Errorf("ReceiveBatch: %v", err)
 				return
 			}
-			out = append(out, buf[:n]...)
+			for _, dg := range buf[:n] {
+				dg.Payload = append([]byte(nil), dg.Payload...)
+				out = append(out, dg)
+			}
 		}
 	}()
 	select {
@@ -255,5 +259,44 @@ func TestUDPBatchLearnsPeers(t *testing.T) {
 	}
 	if mmsgAvailable && fast.usePortable() {
 		t.Error("the recvmmsg receiver fell back to the portable path")
+	}
+}
+
+// TestUDPReceiveBatchSteadyStateAllocs pins the in-place batch receive:
+// once a socket's receive slots and address intern table are warm, a
+// recvmmsg batch allocates nothing — payloads alias the slots instead
+// of being copied out, and the poller callback is bound once.
+func TestUDPReceiveBatchSteadyStateAllocs(t *testing.T) {
+	if !mmsgAvailable {
+		t.Skip("no recvmmsg path on this platform")
+	}
+	a, b := udpPair(t)
+	b.SetLearnPeers(true)
+	const runs, per = 50, 4
+	payload := "steady state"
+	// AllocsPerRun makes runs+1 calls; each returns at least one of the
+	// queued datagrams, so none of them blocks.
+	for i := 0; i < (runs+1)*per; i++ {
+		if err := a.Send(Datagram{Destination: "ub", Payload: []byte(payload)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]Datagram, per)
+	allocs := testing.AllocsPerRun(runs, func() {
+		n, err := b.ReceiveBatch(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dg := range buf[:n] {
+			if dg.Source != "ua" || string(dg.Payload) != payload {
+				t.Fatalf("received %q from %q", dg.Payload, dg.Source)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ReceiveBatch allocates %.1f times per call, want 0", allocs)
+	}
+	if b.usePortable() {
+		t.Fatal("the receiver left the recvmmsg path")
 	}
 }

@@ -74,7 +74,10 @@ type sendGroup struct {
 // mmsgSendScratch and mmsgRecvScratch are a socket's vector-call
 // structures, kept across calls (under sendMu and recvMu) rather than
 // built per call: the kernel reads them through raw pointers, so as
-// locals they would escape to the heap on every batch.
+// locals they would escape to the heap on every batch. Each also holds
+// the socket's RawConn and the poller callback, bound once, with the
+// callback's arguments and results in fields: a per-call closure and
+// RawConn would be heap garbage on every batch.
 type mmsgSendScratch struct {
 	addrs  [mmsgMaxBatch]rawSockaddrInet4
 	offs   [mmsgMaxBatch + 1]int
@@ -82,12 +85,71 @@ type mmsgSendScratch struct {
 	iovs   [mmsgMaxBatch]iovec
 	hdrs   [mmsgMaxBatch]mmsghdr
 	cmsgs  [mmsgMaxBatch]gsoCmsg
+
+	rc    syscall.RawConn
+	write func(fd uintptr) bool // sc.sendmmsg
+	ng    int                   // messages to send
+	sent  int                   // messages sent
+	errno syscall.Errno
 }
 
 type mmsgRecvScratch struct {
 	iovs  [mmsgMaxBatch]iovec
 	hdrs  [mmsgMaxBatch]mmsghdr
 	names [mmsgMaxBatch]rawSockaddrInet6
+	// bufs are the receive slots: ReceiveBatch payloads alias them
+	// until the next call.
+	bufs [mmsgMaxBatch][]byte
+
+	rc    syscall.RawConn
+	read  func(fd uintptr) bool // sc.recvmmsg
+	batch int                   // slots offered
+	got   int                   // messages received
+	errno syscall.Errno
+}
+
+// sendmmsg is the send poller callback: it sends messages sent..ng-1,
+// returning false to wait for writability when the socket is full.
+func (sc *mmsgSendScratch) sendmmsg(fd uintptr) bool {
+	for sc.sent < sc.ng {
+		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&sc.hdrs[sc.sent])), uintptr(sc.ng-sc.sent),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // block until writable, then retry
+		}
+		if e == syscall.EINTR {
+			continue
+		}
+		if e != 0 {
+			sc.errno = e
+			return true
+		}
+		sc.sent += int(r)
+	}
+	return true
+}
+
+// recvmmsg is the receive poller callback: it fills up to batch slots,
+// returning false to wait for readability when the socket is empty.
+func (sc *mmsgRecvScratch) recvmmsg(fd uintptr) bool {
+	for {
+		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&sc.hdrs[0])), uintptr(sc.batch),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // block until readable
+		}
+		if e == syscall.EINTR {
+			continue
+		}
+		if e != 0 {
+			sc.errno = e
+			return true
+		}
+		sc.got = int(r)
+		return true
+	}
 }
 
 type iovec struct {
@@ -186,7 +248,13 @@ func (u *UDPTransport) sendBatchMmsg(dgs []Datagram) (n int, err error, handled 
 func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled bool) {
 	batch := len(dgs)
 	if u.sendScratch == nil {
-		u.sendScratch = new(mmsgSendScratch)
+		rc, err := u.conn.SyscallConn()
+		if err != nil {
+			return 0, err, true
+		}
+		sc := &mmsgSendScratch{rc: rc}
+		sc.write = sc.sendmmsg
+		u.sendScratch = sc
 	}
 	addrs, offs := &u.sendScratch.addrs, &u.sendScratch.offs
 	// Frames are packed into one reusable arena rather than allocated
@@ -295,52 +363,35 @@ func (u *UDPTransport) sendGroupsMmsg(arena []byte, addrs []rawSockaddrInet4, of
 		}
 	}
 
-	rc, rerr := u.conn.SyscallConn()
-	if rerr != nil {
-		return 0, rerr
-	}
-	sent := 0
-	var callErr error
-	werr := rc.Write(func(fd uintptr) bool {
-		for sent < ng {
-			r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(ng-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // block until writable, then retry
-			}
-			if e == syscall.EINTR {
-				continue
-			}
-			if e != 0 {
-				callErr = e
-				return true
-			}
-			sent += int(r)
-		}
-		return true
-	})
+	sc.ng, sc.sent, sc.errno = ng, 0, 0
+	werr := sc.rc.Write(sc.write)
 	dgSent := 0
-	for g := 0; g < sent; g++ {
+	for g := 0; g < sc.sent; g++ {
 		dgSent += groups[g].count
 	}
 	if werr != nil {
 		return dgSent, werr
 	}
-	return dgSent, callErr
+	if sc.errno != 0 {
+		return dgSent, sc.errno
+	}
+	return dgSent, nil
 }
 
 // recvBatchMmsg fills buf with recvmmsg: it blocks for the first
 // datagram (via the runtime poller) and returns whatever else the
-// socket already holds, up to min(len(buf), mmsgMaxBatch). Frames that
-// fail address decoding are skipped, exactly as a Receive loop would
-// surface them one error at a time — except the batch path drops them
-// silently to keep the happy-path contract simple; the single-datagram
-// path remains the debugging tool for malformed framing. With learning
-// on, each well-formed frame teaches its source's reply route in slot
-// order, through the same rule Receive applies; a source address the
-// fast path cannot parse latches the socket to the portable path, whose
-// Receive parses it.
+// socket already holds, up to min(len(buf), mmsgMaxBatch). Each
+// payload aliases its receive slot — valid until the next receive on
+// this socket, as BatchConn documents — and the addresses come from
+// the socket's intern table, so the steady state allocates nothing.
+// Frames that fail address decoding are skipped, exactly as a Receive
+// loop would surface them one error at a time — except the batch path
+// drops them silently to keep the happy-path contract simple; the
+// single-datagram path remains the debugging tool for malformed
+// framing. With learning on, each well-formed frame teaches its
+// source's reply route in slot order, through the same rule Receive
+// applies; a source address the fast path cannot parse latches the
+// socket to the portable path, whose Receive parses it.
 func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled bool) {
 	batch := len(buf)
 	if batch > mmsgMaxBatch {
@@ -348,18 +399,22 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 	}
 	u.recvMu.Lock()
 	defer u.recvMu.Unlock()
-	if u.recvBufs == nil {
-		u.recvBufs = make([][]byte, mmsgMaxBatch)
-		for i := range u.recvBufs {
-			u.recvBufs[i] = make([]byte, mmsgSlotSize)
-		}
-	}
 	if u.recvScratch == nil {
-		u.recvScratch = new(mmsgRecvScratch)
+		rc, err := u.conn.SyscallConn()
+		if err != nil {
+			return 0, ErrClosed, true
+		}
+		sc := &mmsgRecvScratch{rc: rc}
+		sc.read = sc.recvmmsg
+		for i := range sc.bufs {
+			sc.bufs[i] = make([]byte, mmsgSlotSize)
+		}
+		u.recvScratch = sc
 	}
-	iovs, hdrs, names := &u.recvScratch.iovs, &u.recvScratch.hdrs, &u.recvScratch.names
+	sc := u.recvScratch
+	iovs, hdrs, names := &sc.iovs, &sc.hdrs, &sc.names
 	for i := 0; i < batch; i++ {
-		iovs[i] = iovec{Base: &u.recvBufs[i][0], Len: mmsgSlotSize}
+		iovs[i] = iovec{Base: &sc.bufs[i][0], Len: mmsgSlotSize}
 		hdrs[i].Hdr = msghdr{
 			Name:    (*byte)(unsafe.Pointer(&names[i])),
 			Namelen: uint32(unsafe.Sizeof(names[i])),
@@ -367,62 +422,35 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 			Iovlen:  1,
 		}
 	}
-	rc, rerr := u.conn.SyscallConn()
-	if rerr != nil {
+	sc.batch, sc.got, sc.errno = batch, 0, 0
+	if perr := sc.rc.Read(sc.read); perr != nil || sc.errno != 0 {
 		return 0, ErrClosed, true
 	}
-	got := 0
-	closed := false
-	perr := rc.Read(func(fd uintptr) bool {
-		for {
-			r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[0])), uintptr(batch),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // block until readable
-			}
-			if e == syscall.EINTR {
-				continue
-			}
-			if e != 0 {
-				closed = true
-				return true
-			}
-			got = int(r)
-			return true
-		}
-	})
-	if perr != nil || closed {
-		return 0, ErrClosed, true
-	}
-	// Payloads are copied out of the reused slots into one backing
-	// buffer for the whole batch (the exact-capacity allocation keeps
-	// the appends from moving it), and the address strings are interned
-	// — a small stable set per socket, so the per-datagram decode makes
-	// no allocations on the steady state.
-	need := 0
-	for i := 0; i < got; i++ {
-		need += int(hdrs[i].Len)
-	}
-	arena := make([]byte, 0, need)
 	learn := u.learn.Load()
 	n = 0
-	for i := 0; i < got; i++ {
-		dg, derr := u.decodeFrameInto(u.recvBufs[i][:hdrs[i].Len], &arena)
-		if derr != nil {
+	for i := 0; i < sc.got; i++ {
+		b := sc.bufs[i][:hdrs[i].Len]
+		src, used, ok := u.internAddress(b)
+		if !ok {
 			continue
 		}
+		b = b[used:]
+		dst, used, ok := u.internAddress(b)
+		if !ok {
+			continue
+		}
+		b = b[used:]
 		if learn {
 			if from, ok := names[i].addrPort(); ok {
-				u.learnRoute(dg.Source, from)
+				u.learnRoute(src, from)
 			} else {
 				u.mmsgBroken.Store(1)
 			}
 		}
-		buf[n] = dg
+		buf[n] = Datagram{Source: src, Destination: dst, Payload: b[:len(b):len(b)]}
 		n++
 	}
-	if n == 0 && got > 0 {
+	if n == 0 && sc.got > 0 {
 		// Every frame in the batch was malformed; report one receive
 		// with no datagrams rather than blocking again, so callers see
 		// progress (the loop path would have returned the decode error).
@@ -431,51 +459,31 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 	return n, nil, true
 }
 
-// decodeFrameInto is decodeFrame for the batch path: the payload copy
-// lands in the caller's batch arena and the addresses come from the
-// socket's intern table. Caller holds recvMu.
-func (u *UDPTransport) decodeFrameInto(b []byte, arena *[]byte) (Datagram, error) {
-	src, used, err := u.internAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	dst, used, err := u.internAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	a := *arena
-	off := len(a)
-	a = append(a, b...)
-	*arena = a
-	return Datagram{Source: src, Destination: dst, Payload: a[off:len(a):len(a)]}, nil
-}
-
 // internAddress decodes one length-prefixed address, returning the
-// socket's canonical string for it — a map hit costs no allocation.
-// The table is capped so a flood of forged source addresses cannot
-// grow it without bound. Caller holds recvMu.
-func (u *UDPTransport) internAddress(b []byte) (principal.Address, int, error) {
+// socket's canonical string for it — a map hit costs no allocation —
+// and ok == false for a truncated one (the batch path drops those
+// without building an error). The table is capped so a flood of forged
+// source addresses cannot grow it without bound. Caller holds recvMu.
+func (u *UDPTransport) internAddress(b []byte) (a principal.Address, used int, ok bool) {
 	if len(b) < 2 {
-		return "", 0, fmt.Errorf("truncated address length")
+		return "", 0, false
 	}
 	n := int(b[0])<<8 | int(b[1])
 	if len(b) < 2+n {
-		return "", 0, fmt.Errorf("truncated address body: need %d bytes, have %d", n, len(b)-2)
+		return "", 0, false
 	}
 	raw := b[2 : 2+n]
 	// A map probe keyed by string(raw) does not allocate; only a miss
 	// materialises the string.
 	if a, ok := u.addrIntern[string(raw)]; ok {
-		return a, 2 + n, nil
+		return a, 2 + n, true
 	}
-	a := principal.Address(raw)
+	a = principal.Address(raw)
 	if u.addrIntern == nil {
 		u.addrIntern = make(map[string]principal.Address)
 	}
 	if len(u.addrIntern) < 1024 {
 		u.addrIntern[string(a)] = a
 	}
-	return a, 2 + n, nil
+	return a, 2 + n, true
 }
